@@ -51,6 +51,8 @@ bench-pipeline:
 
 fuzz:
 	$(GO) test -fuzz=FuzzParseFlock -fuzztime=30s ./internal/datalog/
+	$(GO) test -run '^$$' -fuzz=FuzzDictCrossKind -fuzztime=15s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz=FuzzDictCompareOrder -fuzztime=15s ./internal/storage/
 
 # Static analysis of the example flock corpus (zero errors required;
 # the warnings it prints are pinned by the golden tests under

@@ -21,7 +21,25 @@ import (
 // (Add/Passes/Done) of the physical.GroupAcc contract.
 type physGrouper struct{ f Filter }
 
+// Grouper returns the filter as the physical group operator's Grouper.
+func (f Filter) Grouper() physical.Grouper { return physGrouper{f} }
+
 func (g physGrouper) NewGroup() physical.GroupAcc { return g.f.NewGroup() }
+func (g physGrouper) Target() int                 { return g.f.headPos }
+
+// Counter decides a COUNT exactly as countAcc and countDistinctAcc do:
+// Passes compares the count with the threshold, Done is Monotone and
+// Passes.
+func (g physGrouper) Counter() func(n int64) (passes, final bool) {
+	if g.f.spec.Agg != datalog.AggCount {
+		return nil
+	}
+	f, monotone := g.f, g.f.Monotone()
+	return func(n int64) (bool, bool) {
+		p := f.compare(storage.Int(n))
+		return p, monotone && p
+	}
+}
 
 // compileFiltered builds the physical plan of one FILTER computation.
 // register, when non-nil, is attached to the Materialize sink (step
@@ -76,7 +94,7 @@ func compileFilteredNode(db *storage.Database, params []datalog.Param, query dat
 		}
 		in = un
 	}
-	return physical.NewGroup(name, len(params), physGrouper{filter}, filter.String(), in)
+	return physical.NewGroup(name, len(params), filter.Grouper(), filter.String(), in)
 }
 
 // CompileDirect returns the physical plan the direct strategy executes

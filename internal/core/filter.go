@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/storage"
@@ -131,24 +132,45 @@ func (a *countAcc) Merge(other GroupAcc) {
 // countDistinctAcc implements COUNT(answer.Col): distinct values of one
 // head column. Values are normalized before keying so the count respects
 // semantic equality — Int(1) and Float(1) are one value, not two (they
-// compare Equal and share a join key everywhere else in the engine).
+// compare Equal and share a join key everywhere else in the engine). NaN
+// is one value too, but NaN != NaN under Go ==, so it is a flag instead
+// of a map key.
 type countDistinctAcc struct {
 	filter Filter
-	//lint:ignore DL005 Add keys by Normalize(), so Equal values share a slot
+	//lint:ignore DL005 add keys by Normalize(), so Equal values share a slot
 	seen map[storage.Value]struct{}
+	nan  bool
 }
 
-func (a *countDistinctAcc) Add(head storage.Tuple) {
-	a.seen[head[a.filter.headPos].Normalize()] = struct{}{}
+func (a *countDistinctAcc) Add(head storage.Tuple) { a.add(head[a.filter.headPos]) }
+
+func (a *countDistinctAcc) add(v storage.Value) {
+	if v.Kind() == storage.KindFloat && math.IsNaN(v.AsFloat()) {
+		a.nan = true
+		return
+	}
+	a.seen[v.Normalize()] = struct{}{}
 }
+
+// n is the number of distinct values seen.
+func (a *countDistinctAcc) n() int64 {
+	n := int64(len(a.seen))
+	if a.nan {
+		n++
+	}
+	return n
+}
+
 func (a *countDistinctAcc) Passes() bool {
-	return a.filter.compare(storage.Int(int64(len(a.seen))))
+	return a.filter.compare(storage.Int(a.n()))
 }
 func (a *countDistinctAcc) Done() bool { return a.filter.Monotone() && a.Passes() }
 func (a *countDistinctAcc) Merge(other GroupAcc) {
-	for v := range other.(*countDistinctAcc).seen {
+	o := other.(*countDistinctAcc)
+	for v := range o.seen {
 		a.seen[v] = struct{}{}
 	}
+	a.nan = a.nan || o.nan
 }
 
 // sumAcc implements SUM(answer.Col) over the distinct head tuples. The §5

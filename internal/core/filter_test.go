@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"queryflocks/internal/datalog"
@@ -212,5 +213,33 @@ func TestMonotonePropertyOnAccumulators(t *testing.T) {
 			}
 			passed = now
 		}
+	}
+}
+
+// TestCountDistinctNaNIsOneValue is the regression for NaN under
+// COUNT(answer.X): every NaN is one value, so two NaN heads (of any
+// payload) count once — in one accumulator, across a Merge, and through
+// the /partial wire form a cluster shard exports.
+func TestCountDistinctNaNIsOneValue(t *testing.T) {
+	f := mkFilter(t, "COUNT(answer.X) >= 3", "answer(B,X) :- r(B,X)")
+	nan := storage.Float(math.NaN())
+	nan2 := storage.Float(math.Float64frombits(0xfff8000000000001))
+	acc := f.NewGroup()
+	feed(acc, storage.Tuple{storage.Int(1), nan}, storage.Tuple{storage.Int(2), nan2}, storage.Tuple{storage.Int(3), storage.Int(7)})
+	if got := acc.(*countDistinctAcc).n(); got != 2 {
+		t.Fatalf("NaN, NaN, 7 counted %d distinct values, want 2", got)
+	}
+	if acc.Passes() {
+		t.Fatal("two distinct values pass COUNT >= 3")
+	}
+	other := f.NewGroup()
+	feed(other, storage.Tuple{storage.Int(4), nan}, storage.Tuple{storage.Int(5), storage.Float(7)})
+	acc.Merge(other)
+	if got := acc.(*countDistinctAcc).n(); got != 2 {
+		t.Fatalf("merged count %d, want 2", got)
+	}
+	back := f.importGroupState(exportGroupState(&filterGroup{acc: acc}))
+	if got := back.acc.(*countDistinctAcc).n(); got != 2 {
+		t.Fatalf("count after the /partial round trip %d, want 2", got)
 	}
 }

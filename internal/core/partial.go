@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"queryflocks/internal/datalog"
@@ -92,9 +93,12 @@ func exportGroupState(g *filterGroup) GroupState {
 	case *countAcc:
 		s.Count = acc.n
 	case *countDistinctAcc:
-		s.Distinct = make([]string, 0, len(acc.seen))
+		s.Distinct = make([]string, 0, acc.n())
 		for v := range acc.seen {
 			s.Distinct = append(s.Distinct, v.Literal())
+		}
+		if acc.nan {
+			s.Distinct = append(s.Distinct, storage.Float(math.NaN()).Literal())
 		}
 		sort.Strings(s.Distinct)
 	case *sumAcc:
@@ -132,7 +136,7 @@ func (f Filter) importGroupState(s GroupState) *filterGroup {
 		acc.n = s.Count
 	case *countDistinctAcc:
 		for _, lit := range s.Distinct {
-			acc.seen[storage.ParseValue(lit).Normalize()] = struct{}{}
+			acc.add(storage.ParseValue(lit))
 		}
 	case *sumAcc:
 		acc.sum = s.Sum

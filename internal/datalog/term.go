@@ -131,8 +131,11 @@ func (op CmpOp) Flip() CmpOp {
 }
 
 // Eval applies the operator to two values using the storage total order.
-func (op CmpOp) Eval(a, b storage.Value) bool {
-	c := a.Compare(b)
+func (op CmpOp) Eval(a, b storage.Value) bool { return op.Test(a.Compare(b)) }
+
+// Test applies the operator to the sign of a comparison: c < 0, c == 0,
+// or c > 0 for left below, equal to, or above right.
+func (op CmpOp) Test(c int) bool {
 	switch op {
 	case Lt:
 		return c < 0

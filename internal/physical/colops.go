@@ -1,9 +1,11 @@
 package physical
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
+	"queryflocks/internal/datalog"
 	"queryflocks/internal/obs"
 	"queryflocks/internal/par"
 	"queryflocks/internal/storage"
@@ -14,10 +16,13 @@ import (
 // rows of boxed Values. Every probe, dedup, and group key works on IDs
 // (dictionary IDs are equal exactly when the values are Equal, so ID
 // comparisons decide what AppendKey byte comparisons decide in the row
-// path); boxed Values appear only at the materialize sink and inside
-// comparison/aggregate arithmetic. The two paths are bit-identical —
-// same tuples, same order, same batch boundaries, same buffered-tuple
-// gauge — so either can serve as the other's differential oracle.
+// path), and comparisons between two IDs of the dictionary's
+// order-preserved prefix are integer comparisons. Boxed Values appear
+// only at the materialize sink, in comparisons involving constants or
+// IDs interned after the build, and in aggregate arithmetic. The two
+// paths are bit-identical — same tuples, same order, same batch
+// boundaries, same buffered-tuple gauge — so either can serve as the
+// other's differential oracle.
 //
 // One deliberate asymmetry: the row path's repeated-variable checks use
 // Go == on Values (kind-sensitive: Int(1) != Float(1)) while IDs are
@@ -96,21 +101,58 @@ func (a argRef) colValue(dec *decoder, cur []uint32, base []storage.Tuple, bt in
 	}
 }
 
+// colID resolves a non-constant check argument to its dictionary ID.
+func (a argRef) colID(cur []uint32, baseCols [][]uint32, bt int) uint32 {
+	if a.src == srcCur {
+		return cur[a.pos]
+	}
+	return baseCols[a.pos][bt]
+}
+
+// idCompare evaluates one comparison operator over dictionary IDs. Two
+// IDs below the dictionary's order-preserved prefix compare as integers:
+// there ID order is Value.Compare order and equal IDs are Equal values,
+// so the verdict is the one op.Eval gives on the decoded values. Any
+// other ID (interned after the build: /mutate rows, hook output) decodes
+// and compares by Value. The prefix length is read once, at creation.
+type idCompare struct {
+	op     datalog.CmpOp
+	sorted uint32
+	dec    *decoder
+}
+
+func newIDCompare(op datalog.CmpOp, dict *storage.Dict) idCompare {
+	return idCompare{op: op, sorted: dict.SortedLen(), dec: newDecoder(dict)}
+}
+
+func (c idCompare) ids(a, b uint32) bool {
+	if a < c.sorted && b < c.sorted {
+		return c.op.Test(cmp.Compare(a, b))
+	}
+	return c.op.Eval(c.dec.value(a), c.dec.value(b))
+}
+
 // colCheck is one absorbed check in columnar form: cur is the current
 // binding row's IDs (nil at a scan, whose checks never reference binding
 // columns) and bt the base-relation row index.
 type colCheck func(cur []uint32, bt int) bool
 
-// instantiateCol returns one worker's private columnar check. Membership
+// instantiateCol returns one worker's private columnar check. A
+// comparison of two non-constant arguments compares their IDs (see
+// idCompare); one with a constant decodes the other side. Membership
 // checks probe the check relation's IDSet — ID equality is semantic, so
 // the verdicts match the row path's normalized-key ContainsKey probes; a
 // constant argument missing from the dictionary can never be a member.
 func (c *Check) instantiateCol(dict *storage.Dict, baseTuples []storage.Tuple, baseCols [][]uint32) colCheck {
 	if c.kind == checkCmp {
-		op, l, r := c.op, c.left, c.right
-		dec := newDecoder(dict)
+		ic, l, r := newIDCompare(c.op, dict), c.left, c.right
+		if l.src != srcConst && r.src != srcConst {
+			return func(cur []uint32, bt int) bool {
+				return ic.ids(l.colID(cur, baseCols, bt), r.colID(cur, baseCols, bt))
+			}
+		}
 		return func(cur []uint32, bt int) bool {
-			return op.Eval(l.colValue(dec, cur, baseTuples, bt), r.colValue(dec, cur, baseTuples, bt))
+			return ic.op.Eval(l.colValue(ic.dec, cur, baseTuples, bt), r.colValue(ic.dec, cur, baseTuples, bt))
 		}
 	}
 	want := c.kind == checkMember
@@ -659,7 +701,7 @@ type colSelectOp struct {
 	id    int
 	input colOperator
 
-	dec *decoder
+	cmp idCompare
 
 	rowsIn  int
 	rowsOut int
@@ -668,7 +710,7 @@ type colSelectOp struct {
 }
 
 func (o *colSelectOp) open(ctx *Ctx) error {
-	o.dec = newDecoder(ctx.Dict)
+	o.cmp = newIDCompare(o.n.op, ctx.Dict)
 	return o.input.open(ctx)
 }
 
@@ -679,7 +721,7 @@ func (o *colSelectOp) argValue(a argRef, batch colBatch, i int) storage.Value {
 	if a.src == srcConst {
 		return a.val
 	}
-	return o.dec.value(batch.cols[a.pos][i])
+	return o.cmp.dec.value(batch.cols[a.pos][i])
 }
 
 func (o *colSelectOp) next(ctx *Ctx) (colBatch, bool, error) {
@@ -692,9 +734,16 @@ func (o *colSelectOp) next(ctx *Ctx) (colBatch, bool, error) {
 		start = time.Now()
 	}
 	n := o.n
+	byID := n.left.src != srcConst && n.right.src != srcConst
 	out := newColBatch(len(batch.cols))
 	for i := 0; i < batch.n; i++ {
-		if n.op.Eval(o.argValue(n.left, batch, i), o.argValue(n.right, batch, i)) {
+		var keep bool
+		if byID {
+			keep = o.cmp.ids(batch.cols[n.left.pos][i], batch.cols[n.right.pos][i])
+		} else {
+			keep = n.op.Eval(o.argValue(n.left, batch, i), o.argValue(n.right, batch, i))
+		}
+		if keep {
 			out.appendRow(batch, i)
 		}
 	}
@@ -900,12 +949,6 @@ func (o *colUnionOp) close(ctx *Ctx) {
 
 // --- group-filter ---
 
-type colGrp struct {
-	paramIDs []uint32
-	acc      GroupAcc
-	done     bool
-}
-
 type colGroupOp struct {
 	n     *GroupNode
 	id    int
@@ -915,7 +958,8 @@ type colGroupOp struct {
 	headPos  []int
 
 	built   bool
-	passing []*colGrp
+	params  []uint32 // group g's parameter IDs at [g*NParams, (g+1)*NParams)
+	passing []int32  // passing group indices, in first-seen order
 	emitPos int
 
 	groupsN int
@@ -941,17 +985,117 @@ func (o *colGroupOp) open(ctx *Ctx) error {
 	return nil
 }
 
-// build mirrors groupOp.build over IDs: group keys and the full-row
-// dedup keys are packed IDs instead of AppendKey bytes, and only the
-// distinct head tuples an accumulator actually consumes are decoded to
-// boxed Values. Arrival order, the Done short-circuit, and the gauge
-// accounting are identical to the row path.
+// idKeys assigns dense indices, in first-seen order, to the distinct
+// projections of batch rows onto pos. Up to two columns key a uint64 of
+// the IDs themselves; wider projections key their packed encoding.
+type idKeys struct {
+	pos    []int
+	narrow map[uint64]int32
+	wide   map[string]int32
+	buf    []byte
+}
+
+func newIDKeys(pos []int) *idKeys {
+	k := &idKeys{pos: pos}
+	if len(pos) <= 2 {
+		k.narrow = make(map[uint64]int32)
+	} else {
+		k.wide = make(map[string]int32)
+	}
+	return k
+}
+
+// index returns row i's index, assigning next when the projection is new.
+func (k *idKeys) index(batch colBatch, i int, next int32) (idx int32, isNew bool) {
+	if k.narrow != nil {
+		var key uint64
+		for _, p := range k.pos {
+			key = key<<32 | uint64(batch.cols[p][i])
+		}
+		if idx, ok := k.narrow[key]; ok {
+			return idx, false
+		}
+		k.narrow[key] = next
+		return next, true
+	}
+	k.buf = batch.packRowOn(k.buf[:0], k.pos, i)
+	if idx, ok := k.wide[string(k.buf)]; ok {
+		return idx, false
+	}
+	k.wide[string(k.buf)] = next
+	return next, true
+}
+
+// headSeen is the (group, head) dedup set: a head of at most one column
+// keys on (group index, head ID) as one uint64, a wider head on the group
+// index followed by the packed head IDs.
+type headSeen struct {
+	pos    []int
+	narrow map[uint64]struct{}
+	wide   map[string]struct{}
+	buf    []byte
+}
+
+func newHeadSeen(pos []int) *headSeen {
+	s := &headSeen{pos: pos}
+	if len(pos) <= 1 {
+		s.narrow = make(map[uint64]struct{})
+	} else {
+		s.wide = make(map[string]struct{})
+	}
+	return s
+}
+
+// add records row i's head in group g, reporting whether it was new.
+func (s *headSeen) add(batch colBatch, i int, g int32) bool {
+	if s.narrow != nil {
+		key := uint64(g) << 32
+		if len(s.pos) == 1 {
+			key |= uint64(batch.cols[s.pos[0]][i])
+		}
+		if _, dup := s.narrow[key]; dup {
+			return false
+		}
+		s.narrow[key] = struct{}{}
+		return true
+	}
+	s.buf = append(s.buf[:0], byte(g), byte(g>>8), byte(g>>16), byte(g>>24))
+	s.buf = batch.packRowOn(s.buf, s.pos, i)
+	if _, dup := s.wide[string(s.buf)]; dup {
+		return false
+	}
+	s.wide[string(s.buf)] = struct{}{}
+	return true
+}
+
+// build mirrors groupOp.build over IDs: group and (group, head) dedup
+// keys are IDs instead of AppendKey bytes, and group state lives in flat
+// per-group slices. When the FILTER counts whole distinct head tuples —
+// COUNT(*), or COUNT of the only head column — each new (group, head)
+// pair is one increment of a plain counter, because the dedup already
+// made the heads distinct. Other aggregates get their accumulator fed a
+// reused head tuple in which only the aggregated column is decoded.
+// Arrival order, the Done short-circuit, and the gauge accounting are
+// identical to the row path.
 func (o *colGroupOp) build(ctx *Ctx) error {
-	groups := make(map[string]*colGrp)
-	var order []*colGrp
-	seen := make(map[string]struct{})
-	var buf []byte
-	dec := newDecoder(ctx.Dict)
+	target := o.n.Grouper.Target()
+	counter := o.n.Grouper.Counter()
+	if target >= 0 && len(o.headPos) != 1 {
+		counter = nil // COUNT of one column of a wider head counts distinct values
+	}
+	groups := newIDKeys(o.paramPos)
+	seen := newHeadSeen(o.headPos)
+	var (
+		done   []bool
+		counts []int64    // counter mode
+		accs   []GroupAcc // accumulator mode
+		head   storage.Tuple
+		dec    *decoder
+	)
+	if counter == nil {
+		head = make(storage.Tuple, len(o.headPos))
+		dec = newDecoder(ctx.Dict)
+	}
 	retained := 0
 	for {
 		batch, ok, err := o.input.next(ctx)
@@ -966,37 +1110,34 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 			start = time.Now()
 		}
 		for i := 0; i < batch.n; i++ {
-			buf = batch.packRowOn(buf[:0], o.paramPos, i)
-			glen := len(buf)
-			buf = batch.packRowOn(buf, o.headPos, i)
-			g, ok := groups[string(buf[:glen])]
-			if !ok {
-				params := make([]uint32, len(o.paramPos))
-				for j, p := range o.paramPos {
-					params[j] = batch.cols[p][i]
+			g, isNew := groups.index(batch, i, int32(len(done)))
+			if isNew {
+				for _, p := range o.paramPos {
+					o.params = append(o.params, batch.cols[p][i])
 				}
-				g = &colGrp{paramIDs: params, acc: o.n.Grouper.NewGroup()}
-				groups[string(buf[:glen])] = g
-				order = append(order, g)
+				done = append(done, false)
+				if counter != nil {
+					counts = append(counts, 0)
+				} else {
+					accs = append(accs, o.n.Grouper.NewGroup())
+				}
 				ctx.track(1)
 			}
-			if g.done {
+			if done[g] || !seen.add(batch, i, g) {
 				continue
 			}
-			if _, dup := seen[string(buf)]; dup {
-				continue
-			}
-			seen[string(buf)] = struct{}{}
 			ctx.track(1)
 			retained++
-			head := make(storage.Tuple, len(o.headPos))
-			for j, p := range o.headPos {
-				head[j] = dec.value(batch.cols[p][i])
+			if counter != nil {
+				counts[g]++
+				_, done[g] = counter(counts[g])
+				continue
 			}
-			g.acc.Add(head)
-			if g.acc.Done() {
-				g.done = true
+			if target >= 0 {
+				head[target] = dec.value(batch.cols[o.headPos[target]][i])
 			}
+			accs[g].Add(head)
+			done[g] = accs[g].Done()
 		}
 		o.rowsIn += batch.n
 		o.batches++
@@ -1008,14 +1149,22 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 	if ctx.Col != nil {
 		start = time.Now()
 	}
-	for _, g := range order {
-		if g.done || g.acc.Passes() {
-			o.passing = append(o.passing, g)
+	for g := range done {
+		passes := done[g]
+		switch {
+		case passes:
+		case counter != nil:
+			passes, _ = counter(counts[g])
+		default:
+			passes = accs[g].Passes()
+		}
+		if passes {
+			o.passing = append(o.passing, int32(g))
 		}
 	}
-	o.groupsN = len(order)
+	o.groupsN = len(done)
 	o.rowsOut = len(o.passing)
-	ctx.track(-(len(order) + retained))
+	ctx.track(-(len(done) + retained))
 	if ctx.Col != nil {
 		o.wall += time.Since(start)
 	}
@@ -1036,9 +1185,10 @@ func (o *colGroupOp) next(ctx *Ctx) (colBatch, bool, error) {
 	if end > len(o.passing) {
 		end = len(o.passing)
 	}
-	out := newColBatch(len(o.paramPos))
+	np := len(o.paramPos)
+	out := newColBatch(np)
 	for _, g := range o.passing[o.emitPos:end] {
-		for j, id := range g.paramIDs {
+		for j, id := range o.params[int(g)*np : int(g+1)*np] {
 			out.cols[j] = append(out.cols[j], id)
 		}
 		out.n++

@@ -229,3 +229,47 @@ func TestStreamedAtomRejectsConstants(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnarSelectByID drives the select operator's ID comparison: the
+// streamed atom is the pipeline source, so its comparison is a select
+// over binding columns. Every operator runs on the built database and
+// on a clone whose new edges are interned past the dictionary's
+// order-preserved prefix, with a constant absent from the data as well.
+func TestColumnarSelectByID(t *testing.T) {
+	base := testDB()
+	sorted := base.Dict().SortedLen()
+	mutated := base.Clone()
+	e := base.MustRelation("e").Clone()
+	e.InsertValues(storage.Int(9), storage.Float(2.5))
+	e.InsertValues(storage.Float(2.5), storage.Int(1))
+	e.InsertValues(storage.Int(3), storage.Int(9))
+	mutated.Add(e)
+	if id := mutated.Dict().Intern(storage.Float(2.5)); id < sorted {
+		t.Fatalf("new value got ID %d inside the order-preserved prefix %d", id, sorted)
+	}
+	for name, db := range map[string]*storage.Database{"built": base, "mutated": mutated} {
+		db.Add(storage.NewRelation("hop", "A", "B")) // stand-in for order resolution
+		for _, op := range []string{"<", "<=", ">", ">=", "=", "!="} {
+			for _, rule := range []string{
+				"answer(A,B) :- hop(A,B) AND A " + op + " B",
+				"answer(A,B) :- hop(A,B) AND A " + op + " 2.75",
+			} {
+				streams := func() map[string]Node { return map[string]Node{"hop": producerNode(t, db)} }
+				node, err := CompileRule(db, mustRule(t, rule), RuleOpts{Order: []int{0}, Out: mustRule(t, rule).Head.Args, Streams: streams()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if explain := NewPlan(node).Explain(); !containsLine(explain, "select") {
+					t.Fatalf("%s: no select operator:\n%s", rule, explain)
+				}
+				row := streamRun(t, db, rule, []int{0}, streams(), 1, false)
+				for _, w := range []int{1, 2, 8} {
+					col := streamRun(t, db, rule, []int{0}, streams(), w, true)
+					if col.Dump() != row.Dump() {
+						t.Fatalf("%s %s workers=%d: columnar select differs\ncolumnar:\n%s\nrows:\n%s", name, rule, w, col.Dump(), row.Dump())
+					}
+				}
+			}
+		}
+	}
+}

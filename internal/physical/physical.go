@@ -144,15 +144,26 @@ type Hook func(*storage.Relation) (*storage.Relation, error)
 // GroupAcc accumulates one group's head tuples for a FILTER condition.
 // It is the streaming subset of core.GroupAcc (no Merge): the group
 // operator feeds each group's distinct head tuples in arrival order,
-// honoring the monotone short-circuit via Done.
+// honoring the monotone short-circuit via Done. Add must not retain the
+// tuple, and may read only the head column named by Grouper.Target (the
+// columnar operator decodes only that column into a reused buffer).
 type GroupAcc interface {
 	Add(head storage.Tuple)
 	Passes() bool
 	Done() bool
 }
 
-// Grouper mints one accumulator per parameter group; core.Filter is
-// adapted to this by the core package.
+// Grouper mints one accumulator per parameter group and describes the
+// FILTER's aggregate, from which the group operator picks its state
+// layout; core.Filter.Grouper adapts a FILTER condition to it.
 type Grouper interface {
 	NewGroup() GroupAcc
+	// Target is the head column the aggregate reads, or -1 when it
+	// ranges over whole head tuples (COUNT(*)).
+	Target() int
+	// Counter returns, when the aggregate is COUNT, the condition's
+	// verdict on a group of n distinct values: whether it passes, and
+	// whether that verdict is final (the monotone short-circuit, as the
+	// accumulator's Done). It returns nil for other aggregates.
+	Counter() func(n int64) (passes, final bool)
 }

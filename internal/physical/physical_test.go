@@ -192,7 +192,9 @@ func (a *countAcc) Done() bool        { return a.n >= 2 }
 
 type countGrouper struct{}
 
-func (countGrouper) NewGroup() GroupAcc { return &countAcc{} }
+func (countGrouper) NewGroup() GroupAcc                          { return &countAcc{} }
+func (countGrouper) Target() int                                 { return -1 }
+func (countGrouper) Counter() func(n int64) (passes, final bool) { return nil }
 
 func TestGroupOperator(t *testing.T) {
 	db := testDB()

@@ -8,21 +8,25 @@ import (
 
 // Dict is the per-database value dictionary: an intern table mapping each
 // semantic equality class of Values (see Value.Equal — Int(1) and
-// Float(1) share a class) to a dense uint32 ID. The columnar executor
-// probes, deduplicates, and groups on these IDs, so two IDs are equal
-// exactly when the values they stand for are Equal; the boxed Value is
-// recovered only at pipeline sinks.
+// Float(1) share a class, as do all NaNs) to a dense uint32 ID. The
+// columnar executor probes, deduplicates, and groups on these IDs, so two
+// IDs are equal exactly when the values they stand for are Equal; the
+// boxed Value is recovered only at pipeline sinks and in the arithmetic
+// of aggregates.
 //
 // ID 0 is always the null value. IDs assigned by BuildDict (the bulk of
-// the domain, built at CSV load/ingest) are order-preserving: for values
-// known at build time, id(v) < id(w) iff v.Compare(w) < 0, so ID order
-// can stand in for Value order as well as equality. Values first seen
-// after the build (query constants, hook-produced tuples) are appended
-// and keep only the equality guarantee.
+// the domain, built at CSV load/ingest) are order-preserving: for any two
+// IDs below SortedLen, id(v) < id(w) iff v.Compare(w) < 0, so ID order
+// stands in for Value order as well as equality. This holds for every
+// pair of values, because Compare is a strict total order on equality
+// classes (exact across Int/Float, one NaN above +Inf). Values first seen
+// after the build (query constants, /mutate rows, hook-produced tuples)
+// are appended past SortedLen and keep only the equality guarantee.
 //
 // A Dict is safe for concurrent use: lookups take a read lock, misses
 // append under the write lock, and decode-heavy operators snapshot an
-// immutable View once per batch instead of locking per value.
+// immutable View once and refresh it only on an ID past the snapshot,
+// instead of locking per value.
 type Dict struct {
 	mu    sync.RWMutex
 	ids   map[string]uint32 // normalized AppendKey -> ID
@@ -190,19 +194,11 @@ func (d *Dict) Value(id uint32) Value {
 	return d.vals[id]
 }
 
-// OrderPreserved reports whether both IDs were assigned by the
-// order-preserving bulk build, in which case integer ID order equals
-// Value.Compare order.
-func (d *Dict) OrderPreserved(a, b uint32) bool {
-	s := d.sorted()
-	return a < s && b < s
-}
-
-func (d *Dict) sorted() uint32 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.sortedLen
-}
+// SortedLen returns the length of the order-preserved ID prefix: two
+// IDs below it compare like their values. It is fixed when the
+// dictionary is built (Intern only appends past it), so an operator
+// reads it once and compares IDs without locking.
+func (d *Dict) SortedLen() uint32 { return d.sortedLen }
 
 // View returns a decode snapshot. The dictionary only ever appends, so a
 // view taken after an ID was assigned can decode that ID lock-free;

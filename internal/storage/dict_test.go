@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 )
@@ -34,8 +36,8 @@ func TestBuildDictOrderPreserving(t *testing.T) {
 		if ids[i-1] >= ids[i] {
 			t.Fatalf("IDs not in Compare order: %v -> %v", vals, ids)
 		}
-		if !d.OrderPreserved(ids[i-1], ids[i]) {
-			t.Fatalf("built IDs %d,%d should be order-preserved", ids[i-1], ids[i])
+		if ids[i] >= d.SortedLen() {
+			t.Fatalf("built ID %d is past the order-preserved prefix %d", ids[i], d.SortedLen())
 		}
 	}
 	if id, _ := d.Lookup(Null()); id != NullID {
@@ -90,7 +92,7 @@ func TestDictInternAppends(t *testing.T) {
 		t.Fatal("Lookup of unseen value should miss")
 	}
 	// Appended IDs keep only the equality guarantee.
-	if d.OrderPreserved(1, id) {
+	if id < d.SortedLen() {
 		t.Fatal("appended ID should not claim order preservation")
 	}
 }
@@ -191,12 +193,18 @@ func TestHashEquivalence(t *testing.T) {
 // FuzzDictCrossKind checks that Int/Float cross-kind equality through
 // the dictionary matches Value.Equal for arbitrary numbers: interning
 // both forms of any integer-valued float must yield one ID, and
-// distinct numbers distinct IDs.
+// distinct numbers distinct IDs. A BuildDict over the pair must number
+// them in Compare order, and Equal must agree with their join keys.
 func FuzzDictCrossKind(f *testing.F) {
 	f.Add(int64(1), 1.0)
 	f.Add(int64(0), 0.0)
 	f.Add(int64(-5), 2.5)
 	f.Add(int64(1<<53), float64(1<<53))
+	// Float64 rounds 2^53+1 onto 2^53: the pair must stay two values.
+	f.Add(int64(1<<53+1), float64(1<<53))
+	// NaN is one value of its own, Equal to no number.
+	f.Add(int64(0), math.NaN())
+	f.Add(int64(math.MaxInt64), float64(1<<63))
 	f.Fuzz(func(t *testing.T, n int64, x float64) {
 		d := NewDict()
 		in, fl := Int(n), Float(x)
@@ -207,5 +215,81 @@ func FuzzDictCrossKind(f *testing.F) {
 		if !d.Value(iid).Equal(in) || !d.Value(fid).Equal(fl) {
 			t.Fatalf("round-trip broke: %v / %v", d.Value(iid), d.Value(fid))
 		}
+		if keq := string(in.AppendKey(nil)) == string(fl.AppendKey(nil)); keq != in.Equal(fl) {
+			t.Fatalf("Int(%d), Float(%v): keys equal %v, Equal %v", n, x, keq, in.Equal(fl))
+		}
+		checkDictOrder(t, []Value{in, fl})
+	})
+}
+
+// checkDictOrder builds a dictionary over vals and asserts that ID order
+// is Compare order on every pair: sign(Compare(v, w)) == sign(id(v) -
+// id(w)), with every built ID in the order-preserved prefix.
+func checkDictOrder(t *testing.T, vals []Value) {
+	t.Helper()
+	db := NewDatabase()
+	r := NewRelation("r", "A")
+	for _, v := range vals {
+		r.Insert(Tuple{v})
+	}
+	db.Add(r)
+	d := BuildDict(db)
+	ids := make([]uint32, len(vals))
+	for i, v := range vals {
+		id, ok := d.Lookup(v)
+		if !ok {
+			t.Fatalf("Lookup(%#v) missed after BuildDict", v)
+		}
+		ids[i] = id
+	}
+	for i, v := range vals {
+		for j, w := range vals {
+			if ids[i] >= d.SortedLen() {
+				t.Fatalf("built ID %d is past the order-preserved prefix %d", ids[i], d.SortedLen())
+			}
+			if got, want := sign(int(ids[i])-int(ids[j])), sign(v.Compare(w)); got != want {
+				t.Fatalf("id(%v)=%d, id(%v)=%d, but Compare = %d", v, ids[i], w, ids[j], want)
+			}
+		}
+	}
+}
+
+// FuzzDictCompareOrder asserts that a BuildDict over any mix of ints,
+// floats (NaN and infinities included), strings and nulls numbers the
+// classes in Compare order — the property the columnar executor's
+// integer ID comparison rests on. Each 9-byte chunk of the input is one
+// value: a kind byte, then 8 payload bytes.
+func FuzzDictCompareOrder(f *testing.F) {
+	chunk := func(kind byte, u uint64) []byte {
+		return append([]byte{kind}, binary.LittleEndian.AppendUint64(nil, u)...)
+	}
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	f.Add(cat(chunk(1, 1<<53+1), chunk(2, math.Float64bits(1<<53)), chunk(2, math.Float64bits(math.NaN()))))
+	f.Add(cat(chunk(1, math.MaxInt64), chunk(2, math.Float64bits(1<<63)), chunk(1, math.MaxInt64-600)))
+	f.Add(cat(chunk(0, 0), chunk(3, 0x6162), chunk(2, math.Float64bits(math.Inf(1))), chunk(2, 0xfff8000000000001)))
+	f.Add(cat(chunk(1, 3), chunk(2, math.Float64bits(3)), chunk(2, math.Float64bits(2.5)), chunk(1, 1<<63)))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var vals []Value
+		for len(raw) >= 9 && len(vals) < 16 {
+			u := binary.LittleEndian.Uint64(raw[1:9])
+			switch raw[0] % 4 {
+			case 0:
+				vals = append(vals, Null())
+			case 1:
+				vals = append(vals, Int(int64(u)))
+			case 2:
+				vals = append(vals, Float(math.Float64frombits(u)))
+			default:
+				vals = append(vals, Str(string(raw[1:1+u%9])))
+			}
+			raw = raw[9:]
+		}
+		checkDictOrder(t, vals)
 	})
 }

@@ -35,6 +35,12 @@ const (
 
 	dictMagic  = "QFDICT1\n"
 	deltaMagic = "QFDELTA\n"
+
+	// dirFormat is the CATALOG format version. Format 2 orders segments
+	// and the DICT's order-preserved prefix by the exact Value.Compare
+	// (one NaN class above +Inf; ints that float64 rounds up to 2^63 below
+	// Float(2^63)); format 1 directories are refused, not misread.
+	dirFormat = 2
 )
 
 type histBucket struct {
@@ -83,7 +89,7 @@ func CreateDir(dir string, db *Database) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	cat := dirCatalog{Format: 1, Version: db.Version()}
+	cat := dirCatalog{Format: dirFormat, Version: db.Version()}
 	for _, name := range db.Names() {
 		rel, err := db.Relation(name)
 		if err != nil {
@@ -93,7 +99,7 @@ func CreateDir(dir string, db *Database) error {
 		if err := writeSegment(filepath.Join(dir, name+segExt), name, rel.Columns(), sorted); err != nil {
 			return err
 		}
-		if err := os.Remove(filepath.Join(dir, name + deltaExt)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := os.Remove(filepath.Join(dir, name+deltaExt)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
 		hists := make(map[string][]histBucket, rel.Arity())
@@ -163,6 +169,9 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 	if err := json.Unmarshal(raw, &cat); err != nil {
 		return nil, nil, fmt.Errorf("storage: bad catalog in %s: %w", dir, err)
 	}
+	if cat.Format != dirFormat {
+		return nil, nil, fmt.Errorf("storage: data dir %s has catalog format %d, want %d: re-ingest it", dir, cat.Format, dirFormat)
+	}
 	stats := &IOStats{}
 	db := NewDatabase()
 	db.SetIO(stats)
@@ -207,11 +216,11 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 			}
 			db.AddSource(drel)
 		default:
-			rel := NewRelation(rc.Name, rc.Columns...)
 			sr, err := openSegment(filepath.Join(dir, rc.Name+segExt), stats)
 			if err != nil {
 				return nil, nil, err
 			}
+			rows := make([]Tuple, 0, rc.Rows+len(deltaRows))
 			it := sr.scan()
 			for {
 				batch, err := it.Next(1024)
@@ -222,16 +231,13 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 				if batch == nil {
 					break
 				}
-				for _, t := range batch {
-					rel.Insert(t)
-				}
+				rows = append(rows, batch...)
 			}
 			if err := sr.close(); err != nil {
 				return nil, nil, err
 			}
-			for _, t := range deltaRows {
-				rel.Insert(t)
-			}
+			rel := NewRelation(rc.Name, rc.Columns...)
+			rel.insertAll(append(rows, deltaRows...))
 			db.Add(rel)
 		}
 	}
@@ -378,6 +384,7 @@ func readDelta(path string, arity int) ([]Tuple, uint64, error) {
 	var rows []Tuple
 	var version uint64
 	var hdr [12]byte
+	arena := tupleArena{arity: arity}
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
 			return rows, version, nil
@@ -398,8 +405,8 @@ func readDelta(path string, arity int) ([]Tuple, uint64, error) {
 			if _, err := io.ReadFull(r, payload); err != nil {
 				return nil, 0, fmt.Errorf("storage: delta %s: %w", path, err)
 			}
-			t, err := DecodePayloadTuple(payload, arity)
-			if err != nil {
+			t := arena.next()
+			if err := decodePayloadInto(t, payload); err != nil {
 				return nil, 0, fmt.Errorf("storage: delta %s: %w", path, err)
 			}
 			rows = append(rows, t)

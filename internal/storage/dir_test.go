@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -136,3 +139,30 @@ var errSyncFailed = errTest("directory sync failed")
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
+
+// TestOpenDirRefusesOldFormat checks that a catalog of an older format
+// (segments ordered by the pre-exact Value.Compare) is refused with an
+// error naming the format, never opened and misread.
+func TestOpenDirRefusesOldFormat(t *testing.T) {
+	dir := t.TempDir()
+	if err := CreateDir(dir, dictDB()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, catalogFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(raw), `"format": 2`, `"format": 1`, 1)
+	if old == string(raw) {
+		t.Fatalf("catalog carries no format 2 field:\n%s", raw)
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []Engine{EngineMemory, EngineDisk} {
+		if _, _, err := OpenDir(dir, engine); err == nil || !strings.Contains(err.Error(), "format 1") {
+			t.Fatalf("OpenDir(%v) of a format 1 catalog: err = %v", engine, err)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -189,10 +191,40 @@ func (r *Relation) DistinctCount(col string) int {
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.name, r.cols...)
 	out.tuples = append([]Tuple(nil), r.tuples...)
-	for k := range r.seen {
-		out.seen[k] = struct{}{}
-	}
+	out.seen = maps.Clone(r.seen)
 	return out
+}
+
+// insertAll is Insert over a batch, for bulk loads: the dedup set and
+// tuple slice are sized once, and the batch's keys share one string, so
+// a load allocates per batch rather than per tuple.
+func (r *Relation) insertAll(ts []Tuple) {
+	buf := make([]byte, 0, 16*len(r.cols)*len(ts)) // an int keys in 9 bytes
+	ends := make([]int, len(ts))
+	for i, t := range ts {
+		if len(t) != len(r.cols) {
+			panic(fmt.Sprintf("storage: arity mismatch inserting %d-tuple into %q(%d cols)",
+				len(t), r.name, len(r.cols)))
+		}
+		buf = t.AppendKey(buf)
+		ends[i] = len(buf)
+	}
+	keys := string(buf)
+	if len(r.seen) == 0 {
+		r.seen = make(map[string]struct{}, len(ts))
+	}
+	r.tuples = slices.Grow(r.tuples, len(ts))
+	start := 0
+	for i, t := range ts {
+		k := keys[start:ends[i]]
+		start = ends[i]
+		if _, dup := r.seen[k]; dup {
+			continue
+		}
+		r.seen[k] = struct{}{}
+		r.tuples = append(r.tuples, t)
+	}
+	r.dropIndexes()
 }
 
 // Rename returns a shallow view of the relation with a different name and,

@@ -280,3 +280,61 @@ func TestReadCSVErrors(t *testing.T) {
 		t.Error("empty input should error")
 	}
 }
+
+// TestInsertAllMatchesInsert pins the bulk-load path to Insert: the same
+// tuples in the same order, duplicates (including Equal cross-kind ones)
+// dropped, membership answered by the shared-key dedup set, and later
+// Inserts and Clones behaving as on an Insert-built relation.
+func TestInsertAllMatchesInsert(t *testing.T) {
+	var ts []Tuple
+	for i := 0; i < 300; i++ {
+		ts = append(ts, Tuple{Int(int64(i % 97)), Str(string(rune('a' + i%7)))})
+	}
+	ts = append(ts, Tuple{Float(3), Str("d")}, Tuple{Int(3), Str("d")})
+	one := NewRelation("r", "A", "B")
+	for _, tp := range ts {
+		one.Insert(tp)
+	}
+	bulk := NewRelation("r", "A", "B")
+	bulk.insertAll(ts)
+	if bulk.Dump() != one.Dump() {
+		t.Fatalf("insertAll differs from Insert\nbulk:\n%s\ninsert:\n%s", bulk.Dump(), one.Dump())
+	}
+	for _, tp := range ts {
+		if !bulk.Contains(tp) {
+			t.Fatalf("bulk-loaded relation misses %v", tp)
+		}
+	}
+	clone := bulk.Clone()
+	if bulk.Insert(Tuple{Int(1), Str("a")}) || !bulk.Insert(Tuple{Int(1000), Str("z")}) {
+		t.Fatal("Insert after insertAll misjudged membership")
+	}
+	if clone.Contains(Tuple{Int(1000), Str("z")}) || clone.Len() != one.Len() {
+		t.Fatal("a clone of a bulk-loaded relation shares its dedup set")
+	}
+}
+
+// TestTupleArenaIsolation checks that arena tuples end at their arity: an
+// append to one tuple reallocates instead of overwriting its neighbor.
+func TestTupleArenaIsolation(t *testing.T) {
+	a := tupleArena{arity: 2}
+	var ts []Tuple
+	for i := 0; i < 40; i++ {
+		tp := a.next()
+		tp[0], tp[1] = Int(int64(i)), Int(int64(-i))
+		ts = append(ts, tp)
+	}
+	for i, tp := range ts {
+		if len(tp) != 2 || cap(tp) != 2 {
+			t.Fatalf("tuple %d: len %d cap %d, want 2 and 2", i, len(tp), cap(tp))
+		}
+		if grown := append(tp, Str("x")); &grown[0] == &tp[0] {
+			t.Fatalf("append to tuple %d reused the arena", i)
+		}
+	}
+	for i, tp := range ts {
+		if tp[0] != Int(int64(i)) || tp[1] != Int(int64(-i)) {
+			t.Fatalf("tuple %d changed to %v", i, tp)
+		}
+	}
+}

@@ -30,8 +30,8 @@ import (
 // a contiguous key range, so one positioning read serves every
 // LookupPrefix regardless of which columns are bound.
 const (
-	segMagic     = "QFSEG1\n"
-	segTail      = "QFSEGIX\n"
+	segMagic      = "QFSEG1\n"
+	segTail       = "QFSEGIX\n"
 	segIndexEvery = 256
 )
 
@@ -272,6 +272,7 @@ type segIterator struct {
 	key    []byte
 	buf    []byte
 	out    []Tuple
+	arena  tupleArena
 	done   bool
 }
 
@@ -280,6 +281,7 @@ func (sr *segmentReader) iterate(start int64, accept, stop func(key []byte) bool
 		sr:     sr,
 		r:      bufio.NewReaderSize(io.NewSectionReader(sr.f, start, sr.dataEnd-start), 64<<10),
 		arity:  len(sr.cols),
+		arena:  tupleArena{arity: len(sr.cols)},
 		accept: accept,
 		stop:   stop,
 	}
@@ -348,8 +350,8 @@ func (it *segIterator) Next(max int) ([]Tuple, error) {
 		if it.accept != nil && !it.accept(it.key) {
 			continue
 		}
-		t, err := DecodePayloadTuple(it.buf, it.arity)
-		if err != nil {
+		t := it.arena.next()
+		if err := decodePayloadInto(t, it.buf); err != nil {
 			return nil, fmt.Errorf("storage: segment %s: %w", it.sr.path, err)
 		}
 		it.out = append(it.out, t)

@@ -17,11 +17,9 @@ import (
 //   - Equality classes are exactly AppendKey's: sortKey(v) == sortKey(w)
 //     iff appendKey(v) == appendKey(w) (integral in-range floats collapse
 //     onto their Equal int, as in the dictionary).
-//   - bytes.Compare(sortKey(v), sortKey(w)) agrees with v.Compare(w)
-//     wherever Compare itself is consistent — i.e. for all strings and
-//     nulls, and for numerics of magnitude <= 2^53 (beyond that, Compare's
-//     float images already alias distinct ints, and the sort key is the
-//     *stricter* order: ints break float-image ties exactly).
+//   - bytes.Compare(sortKey(v), sortKey(w)) agrees with v.Compare(w) for
+//     every pair of values: nulls, strings, and numerics of any kind and
+//     magnitude, NaN included (it sorts above +Inf).
 //   - Each value's encoding is prefix-free against any continuation that
 //     is itself a value encoding, so the concatenated tuple key supports
 //     bound-column-prefix matching: a row key starts with the k-column
@@ -33,11 +31,17 @@ import (
 //	numeric 0x02 . 8-byte big-endian float sort image . 8-byte residue
 //	string  0x03 . body with 0x00->0x01 0x01, 0x01->0x01 0x02 . 0x00
 //
-// The numeric residue is the offset-binary int64 for values in the int
-// class and a fixed sentinel for floats that stay floats after Normalize
-// (non-integral, out of int64 range, or NaN); it makes huge ints that
-// share one float image order exactly, and keeps the int/float classes of
-// one image distinct without breaking the primary byte order.
+// The float sort image of a float is the float itself (every NaN as one
+// canonical NaN); an int's is float64(i), except that the ints which
+// round up to 2^63 take the largest float below it, so an int's image
+// never leaves int64 range. The residue is the offset-binary int64 for
+// values in the int class and a fixed sentinel for floats that stay
+// floats after Normalize (non-integral, out of int64 range, or NaN). The
+// residue orders the ints that share one image exactly. An int and a
+// float never share an image: a float equal to an in-range int's image is
+// integral and in range, so it normalizes into the int class. Hence
+// (image, residue) order is exact value order, which Value.Compare
+// computes without the encoding.
 const (
 	sortTagNull   = 0x01
 	sortTagNum    = 0x02
@@ -51,6 +55,10 @@ const (
 	// which cannot collide: the only numeric with the same float image as
 	// Int(0) is 0.0 itself, and that normalizes to the int class.
 	floatResidueSentinel = uint64(1) << 63
+
+	// maxIntImage is the largest float64 below 2^63: the sort image of
+	// the ints that float64 rounds up to 2^63.
+	maxIntImage = 9223372036854774784.0
 )
 
 // floatSortBits maps a float64 onto a uint64 whose unsigned order is the
@@ -76,11 +84,14 @@ func (v Value) AppendSortKey(dst []byte) []byte {
 		return append(dst, sortTagNull)
 	case KindInt, KindFloat:
 		dst = append(dst, sortTagNum)
-		dst = binary.BigEndian.AppendUint64(dst, floatSortBits(v.AsFloat()))
-		residue := floatResidueSentinel
+		image, residue := v.f, floatResidueSentinel
 		if v.kind == KindInt {
+			image = min(float64(v.i), maxIntImage)
 			residue = uint64(v.i) ^ (1 << 63) // offset binary: order = unsigned order
+		} else if math.IsNaN(image) {
+			image = math.NaN()
 		}
+		dst = binary.BigEndian.AppendUint64(dst, floatSortBits(image))
 		return binary.BigEndian.AppendUint64(dst, residue)
 	default:
 		dst = append(dst, sortTagString)
@@ -180,18 +191,38 @@ func (t Tuple) AppendPayload(dst []byte) []byte {
 	return dst
 }
 
-// DecodePayloadTuple decodes an arity-value tuple written by
-// Tuple.AppendPayload; the payload must be exactly consumed.
-func DecodePayloadTuple(b []byte, arity int) (Tuple, error) {
-	t := make(Tuple, arity)
+// decodePayloadInto decodes len(t) values written by Tuple.AppendPayload
+// into t; the payload must be exactly consumed.
+func decodePayloadInto(t Tuple, b []byte) error {
 	var err error
-	for i := 0; i < arity; i++ {
+	for i := range t {
 		if t[i], b, err = DecodePayloadValue(b); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing bytes after %d-value payload", len(b), arity)
+		return fmt.Errorf("storage: %d trailing bytes after %d-value payload", len(b), len(t))
 	}
-	return t, nil
+	return nil
+}
+
+// tupleArena hands out fixed-arity tuples carved from shared chunks, so
+// a bulk decoder allocates once per chunk instead of once per tuple.
+// Chunks start at 4 tuples and double up to 1024, so a short scan
+// wastes little. Each tuple's capacity ends at its arity, so an append
+// to one never writes into its neighbor.
+type tupleArena struct {
+	arity int
+	chunk int // tuples in the last chunk
+	buf   []Value
+}
+
+func (a *tupleArena) next() Tuple {
+	if len(a.buf) < a.arity {
+		a.chunk = min(max(2*a.chunk, 4), 1024)
+		a.buf = make([]Value, a.arity*a.chunk)
+	}
+	t := a.buf[:a.arity:a.arity]
+	a.buf = a.buf[a.arity:]
+	return t
 }

@@ -9,25 +9,6 @@ import (
 	"testing"
 )
 
-// sortKeyConsistent reports whether both values lie in the domain where
-// Value.Compare is itself a consistent total order: everything except
-// NaNs and numerics of magnitude > 2^53 (where Compare's float images
-// alias distinct ints and transitivity already fails).
-func sortKeyConsistent(v Value) bool {
-	// Strict bounds: float64(2^53 + 1) rounds to exactly 2^53, so the
-	// boundary itself already aliases a neighboring int.
-	switch v.Kind() {
-	case KindInt:
-		f := v.AsFloat()
-		return f > -(1<<53) && f < 1<<53
-	case KindFloat:
-		f := v.AsFloat()
-		return !math.IsNaN(f) && f > -(1<<53) && f < 1<<53
-	default:
-		return true
-	}
-}
-
 func sign(n int) int {
 	switch {
 	case n < 0:
@@ -48,11 +29,9 @@ func checkSortKeyPair(t *testing.T, v, w Value) {
 		t.Fatalf("sort-key equality disagrees with AppendKey classes: %v vs %v (sort %x/%x, eq %x/%x)",
 			v, w, vk, wk, veq, weq)
 	}
-	// Byte order must agree with Compare on the consistent domain.
-	if sortKeyConsistent(v) && sortKeyConsistent(w) {
-		if got, want := sign(bytes.Compare(vk, wk)), sign(v.Compare(w)); got != want {
-			t.Fatalf("bytes.Compare(sortKey(%v), sortKey(%v)) = %d, Value.Compare = %d", v, w, got, want)
-		}
+	// Byte order must agree with Compare everywhere.
+	if got, want := sign(bytes.Compare(vk, wk)), sign(v.Compare(w)); got != want {
+		t.Fatalf("bytes.Compare(sortKey(%v), sortKey(%v)) = %d, Value.Compare = %d", v, w, got, want)
 	}
 	// Prefix-freeness: one value's key is never a proper prefix of
 	// another's (required for bound-column-prefix matching on tuples).
@@ -86,6 +65,9 @@ func TestSortKeyProperties(t *testing.T) {
 		Float(math.Pi), Float(-math.Pi), Float(1e300), Float(-1e300),
 		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()),
 		Float(1 << 53), Float(9.3e18), // out of int64 range
+		Float(1 << 63), Int(math.MaxInt64 - 511), Int(math.MaxInt64 - 512), Int(math.MaxInt64 - 1024),
+		Float(-(1 << 63)), Int(math.MinInt64 + 1), Float(math.Float64frombits(0xfff8000000000001)),
+		Int(1<<53 + 2), Float(1<<53 + 2), Float(maxIntImage),
 		Str(""), Str("a"), Str("ab"), Str("b"),
 		Str("a\x00"), Str("a\x00x"), Str("a\x01"), Str("a\x01\x02"),
 		Str("\x00"), Str("\x01"), Str("\x02"), Str("\x00\xff"), Str("\xff"),
@@ -136,6 +118,11 @@ func FuzzSortKey(f *testing.F) {
 	f.Add("x", "y", int64(1<<53), 1.5, uint8(1), uint8(2))
 	f.Add("", "", int64(-1), math.Copysign(0, -1), uint8(2), uint8(1))
 	f.Add("NULL", "0", int64(0), 0.0, uint8(0), uint8(3))
+	// Float image ties: Float(2^53) vs Int(2^53+1), Float(2^63) vs
+	// Int(2^63-1), and NaN against a number.
+	f.Add("", "", int64(1<<53), float64(1<<53), uint8(2), uint8(1))
+	f.Add("", "", int64(math.MaxInt64-1), float64(1<<63), uint8(2), uint8(1))
+	f.Add("", "", int64(7), math.NaN(), uint8(2), uint8(1))
 	dir := filepath.Join("..", "..", "examples", "flocks")
 	if entries, err := os.ReadDir(dir); err == nil {
 		for _, e := range entries {
@@ -170,8 +157,8 @@ func FuzzSortKey(f *testing.F) {
 		// Tuple-level: payload codec round-trips the pair exactly, and
 		// the concatenated sort key preserves the prefix property.
 		tup := Tuple{v, w}
-		back, err := DecodePayloadTuple(tup.AppendPayload(nil), 2)
-		if err != nil {
+		back := make(Tuple, 2)
+		if err := decodePayloadInto(back, tup.AppendPayload(nil)); err != nil {
 			t.Fatalf("tuple payload round trip: %v", err)
 		}
 		for i := range tup {

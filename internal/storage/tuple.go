@@ -9,11 +9,19 @@ import (
 // column of the owning relation's schema.
 type Tuple []Value
 
+// canonicalNaN is the one bit pattern every NaN keys as: math.NaN()'s,
+// which is also what ParseValue("NaN") produces.
+var canonicalNaN = math.Float64bits(math.NaN())
+
 // floatBits returns an equality-preserving bit pattern for f, normalizing
-// -0 to +0 so that two Equal floats always produce the same key.
+// -0 to +0 and every NaN payload to canonicalNaN, so that two Equal
+// floats always produce the same key.
 func floatBits(f float64) uint64 {
-	if f == 0 {
-		f = 0 // collapse -0 and +0
+	switch {
+	case f == 0:
+		return 0 // collapse -0 and +0
+	case math.IsNaN(f):
+		return canonicalNaN
 	}
 	return math.Float64bits(f)
 }

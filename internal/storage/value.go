@@ -9,6 +9,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -135,9 +136,13 @@ func (v Value) Literal() string {
 	return v.String()
 }
 
-// Compare orders two values. The total order is: NULL < numerics < strings;
-// numerics compare by numeric value regardless of int/float kind; strings
-// compare lexicographically. It returns -1, 0, or +1.
+// Compare orders two values. The total order is: NULL < numerics <
+// strings. Numerics compare by exact mathematical value regardless of
+// int/float kind (so Int(2^53+1) > Float(2^53), although float64 rounds
+// the int onto the float), with every NaN one value that sorts above
+// +Inf; strings compare bytewise. It returns -1, 0, or +1, and returns 0
+// exactly when AppendKey gives both values one key — the order
+// AppendSortKey encodes in bytes.
 func (v Value) Compare(w Value) int {
 	vr, wr := v.rank(), w.rank()
 	if vr != wr {
@@ -150,30 +155,52 @@ func (v Value) Compare(w Value) int {
 	case 0: // both null
 		return 0
 	case 1: // both numeric
-		a, b := v.AsFloat(), w.AsFloat()
-		// Exact path for int-int comparisons to avoid float rounding on
-		// large int64s.
-		if v.kind == KindInt && w.kind == KindInt {
-			switch {
-			case v.i < w.i:
-				return -1
-			case v.i > w.i:
-				return 1
-			default:
-				return 0
-			}
-		}
 		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
+		case v.kind == KindInt && w.kind == KindInt:
+			return cmp.Compare(v.i, w.i)
+		case v.kind == KindFloat && w.kind == KindFloat:
+			return cmpFloat(v.f, w.f)
+		case v.kind == KindInt:
+			return cmpIntFloat(v.i, w.f)
 		default:
-			return 0
+			return -cmpIntFloat(w.i, v.f)
 		}
 	default: // both strings
 		return strings.Compare(v.s, w.s)
 	}
+}
+
+// cmpFloat orders floats numerically, -0 equal to +0, with NaN equal to
+// itself and above every other float (cmp.Compare puts NaN below).
+func cmpFloat(a, b float64) int {
+	an, bn := math.IsNaN(a), math.IsNaN(b)
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	case bn:
+		return -1
+	}
+	return cmp.Compare(a, b)
+}
+
+// cmpIntFloat compares an int64 with a float64 exactly, without rounding
+// the int through float64.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f), f >= maxInt64Float:
+		return -1
+	case f < minInt64Float:
+		return 1
+	}
+	// f is within int64 range, so its truncation is exact; an int equal
+	// to the truncation is ordered by f's fractional part.
+	t := int64(f)
+	if c := cmp.Compare(i, t); c != 0 {
+		return c
+	}
+	return cmpFloat(float64(t), f)
 }
 
 // rank buckets kinds for cross-kind ordering.
@@ -189,7 +216,8 @@ func (v Value) rank() int {
 }
 
 // Equal reports semantic equality: same as Compare(w) == 0, so Int(1) and
-// Float(1) are Equal even though they differ under ==.
+// Float(1) are Equal even though they differ under ==, and every NaN is
+// Equal to every other NaN (and to nothing else).
 func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
 
 // minInt64Float and maxInt64Float bound the float64s whose truncation is
@@ -207,7 +235,8 @@ const (
 // the Equal int (Float(1) -> Int(1)); everything else is returned
 // unchanged. Normalized values of Equal numerics are identical under ==,
 // so Normalize is the right key for Go maps that must respect Equal (see
-// the COUNT-distinct accumulator).
+// the COUNT-distinct accumulator) — except for NaN, which Go's == never
+// matches, so such maps must track NaN apart.
 func (v Value) Normalize() Value {
 	if v.kind == KindFloat {
 		f := v.f
@@ -255,7 +284,9 @@ func ParseValue(s string) Value {
 // never collide (kind byte + length-prefixed payload), and the Equal
 // cross-kind numerics share one encoding — an integral in-range float is
 // keyed as its Equal int (see Normalize), so Int(1) and Float(1) hash and
-// join together just as Compare says they should. Hot paths reuse one
+// join together just as Compare says they should; -0 keys as +0 and every
+// NaN payload as one canonical NaN. The byte order of these keys means
+// nothing (AppendSortKey is the ordered encoding). Hot paths reuse one
 // destination buffer per worker and look keys up without materializing a
 // string (see Index.LookupBytes, Relation.ContainsKey).
 func (v Value) AppendKey(dst []byte) []byte {

@@ -267,3 +267,43 @@ func TestValueCompareTotalOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValueCompareExact pins the exact numeric order: Int/Float pairs
+// that float64 rounds onto one image stay distinct and ordered, and NaN
+// is one value above +Inf, Equal only to itself.
+func TestValueCompareExact(t *testing.T) {
+	nan2 := Float(math.Float64frombits(0xfff8000000000001)) // a negative-sign NaN
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{Float(1 << 53), Int(1<<53 + 1), -1},
+		{Int(1<<53 + 1), Float(1<<53 + 2), -1},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-(1 << 63)), 0},
+		{Int(math.MinInt64), Float(-1e19), 1},
+		{Int(2), Float(2.5), -1},
+		{Int(-2), Float(-2.5), 1},
+		{Int(-2), Float(-1.5), -1},
+		{Float(math.NaN()), Float(math.Inf(1)), 1},
+		{Float(math.NaN()), Int(math.MaxInt64), 1},
+		{Float(math.NaN()), nan2, 0},
+		{Float(math.NaN()), Str(""), -1},
+		{Float(math.NaN()), Null(), 1},
+	}
+	for _, c := range cases {
+		if got := c.a.Compare(c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Compare(c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+		if keq := string(c.a.AppendKey(nil)) == string(c.b.AppendKey(nil)); keq != (c.want == 0) {
+			t.Errorf("%v, %v: keys equal %v, Compare %d", c.a, c.b, keq, c.want)
+		}
+	}
+	// A CSV field "NaN" is a float NaN, Equal to no number.
+	if v := ParseValue("NaN"); v.Equal(Int(0)) || v.Equal(Float(1.5)) || !v.Equal(nan2) {
+		t.Errorf("ParseValue(NaN) = %#v compares Equal to a number or not to NaN", v)
+	}
+}
